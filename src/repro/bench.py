@@ -29,11 +29,7 @@ are pure simulation speed — the perf trajectory of the simulator hot
 path, not store hits.  The ``trace_memo`` and ``sweep_throughput``
 sections additionally measure the warm-worker machinery: actual
 cold-vs-warm cell times through the pool's trace memo, and the same
-mini-sweep pushed through every execution backend (serial reference,
-cold/warm pool, tcp with real loopback worker subprocesses —
-:func:`check_backend_floor` gates tcp against the warm pool).  The
-``service_roundtrip`` section times the HTTP sweep service end to end
-over a loopback socket.
+mini-sweep run serially and on the cold and warm process pool.
 """
 
 from __future__ import annotations
@@ -56,13 +52,12 @@ from typing import Dict, List, Tuple
 #: profile per simulated (workload, protocol, shape) — from separate
 #: *non-timed* observed runs, so the timed cells stay obs-free — which
 #: lets :func:`attrib_delta` name the segment that moved when a perf
-#: gate trips.  v6: ``sweep_throughput`` is keyed by execution backend
-#: (serial reference, pool cold/warm, tcp with real loopback workers —
-#: gated by :func:`check_backend_floor` against the warm pool) and a
-#: ``service_roundtrip`` section records the HTTP sweep service's cold
-#: submit-to-complete and cached round-trip latencies plus its
-#: single-flight dedup count.
-SCHEMA_VERSION = 6
+#: gate trips.  v6: ``sweep_throughput`` was keyed by execution backend
+#: (serial, pool cold/warm, tcp) and a ``service_roundtrip`` section
+#: timed the HTTP sweep service.  v7: the tcp backend and the service
+#: are gone, so ``sweep_throughput`` holds only ``serial`` and ``pool``
+#: (cold/warm) and the ``service_roundtrip`` section is removed.
+SCHEMA_VERSION = 7
 
 #: Hard-fail threshold of the regression gate: a cell whose
 #: events_per_second drops by more than this fraction fails CI.
@@ -220,50 +215,17 @@ def _measure_trace_memo(scale, repeats: int) -> dict:
 SWEEP_WORKLOADS = ("radix", "stream")
 SWEEP_JOBS = 2
 
-#: Loopback workers the tcp backend is measured with.
-TCP_WORKERS = 2
-
-#: Minimum tcp(2 loopback workers)/warm-pool cells-per-second ratio.
-#: Both run the same 2 parallel lanes on one host; the tcp path adds
-#: JSON framing, lease bookkeeping and result decode per cell, which
-#: must stay a small tax — a ratio collapsing far below 1.0 means the
-#: coordinator serialized (lease starvation, heartbeat storms) or fell
-#: back to serial.  0.9 leaves margin for loopback+runner noise.
-TCP_BACKEND_FLOOR = 0.9
-
-
-def _spawn_tcp_worker(address) -> "subprocess.Popen":
-    """A real ``python -m repro worker`` subprocess for the bench."""
-    import sys
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                     else []))
-    host, port = address
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"{host}:{port}"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        stdin=subprocess.DEVNULL)
-
 
 def _measure_sweep_throughput(scale) -> dict:
-    """Cells/second of the mini-sweep through every execution backend.
+    """Cells/second of the mini-sweep, serial and on the process pool.
 
     ``serial`` is the deterministic reference (one pass, cold memo);
     ``pool`` runs cold (fresh pool, trace prewarm) then warm best-of-2
-    (the steady state of consecutive sweeps in one process); ``tcp``
-    coordinates :data:`TCP_WORKERS` real ``python -m repro worker``
-    loopback subprocesses — one warm-up pass (worker connect + trace
-    builds), then best-of-2 timed passes, symmetric with the pool's
-    treatment.  Cache-free throughout, so the numbers are sweep
-    machinery + simulation only.  :func:`check_backend_floor` gates
-    tcp against the warm pool.
+    (the steady state of consecutive sweeps in one process).
+    Cache-free throughout, so the numbers are sweep machinery +
+    simulation only.
     """
     from repro.runner import pool as worker_pool
-    from repro.runner.backends import TcpBackend
     from repro.runner.jobs import expand_grid
 
     specs = expand_grid(SWEEP_WORKLOADS, PROTOCOLS, scale)
@@ -272,141 +234,39 @@ def _measure_sweep_throughput(scale) -> dict:
     worker_pool.shutdown_pool()
     worker_pool._WORKLOAD_MEMO.clear()
     t0 = time.perf_counter()
-    worker_pool.sweep(specs, jobs=1, use_cache=False, backend="serial")
+    worker_pool.sweep(specs, jobs=1, use_cache=False)
     serial_s = time.perf_counter() - t0
 
     worker_pool.shutdown_pool()
     worker_pool._WORKLOAD_MEMO.clear()
     try:
         t0 = time.perf_counter()
-        worker_pool.sweep(specs, jobs=SWEEP_JOBS, use_cache=False,
-                          backend="pool")
+        worker_pool.sweep(specs, jobs=SWEEP_JOBS, use_cache=False)
         cold_s = time.perf_counter() - t0
         # Two warm passes, best kept: a single pass on a shared runner
         # can land in a slow phase and misreport warm as slower.
         warm_s = None
         for _ in range(2):
             t0 = time.perf_counter()
-            worker_pool.sweep(specs, jobs=SWEEP_JOBS, use_cache=False,
-                              backend="pool")
+            worker_pool.sweep(specs, jobs=SWEEP_JOBS, use_cache=False)
             elapsed = time.perf_counter() - t0
             warm_s = elapsed if warm_s is None else min(warm_s, elapsed)
     finally:
         worker_pool.shutdown_pool()
 
-    backend = TcpBackend(connect_grace=30.0)
-    workers = [_spawn_tcp_worker(backend.listen())
-               for _ in range(TCP_WORKERS)]
-    try:
-        backend.wait_for_workers(TCP_WORKERS, timeout=30.0)
-        # Warm-up: workers build their trace memos (symmetric with the
-        # pool's cold pass, which is reported separately).
-        worker_pool.sweep(specs, use_cache=False, backend=backend)
-        tcp_s = None
-        for _ in range(2):
-            t0 = time.perf_counter()
-            worker_pool.sweep(specs, use_cache=False, backend=backend)
-            elapsed = time.perf_counter() - t0
-            tcp_s = elapsed if tcp_s is None else min(tcp_s, elapsed)
-        connected = backend.stats["workers_connected"]
-        serial_fallback_cells = backend.stats["serial_cells"]
-    finally:
-        backend.close()
-        for worker in workers:
-            try:
-                worker.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                worker.kill()
-                worker.wait()
-
-    warm_cps = round(n / warm_s, 3)
-    tcp_cps = round(n / tcp_s, 3)
     return {
         "cells": n,
         "jobs": SWEEP_JOBS,
-        "backends": {
-            "serial": {
-                "seconds": round(serial_s, 4),
-                "cells_per_second": round(n / serial_s, 3),
-            },
-            "pool": {
-                "cold_seconds": round(cold_s, 4),
-                "cold_cells_per_second": round(n / cold_s, 3),
-                "warm_seconds": round(warm_s, 4),
-                "warm_cells_per_second": warm_cps,
-            },
-            "tcp": {
-                "workers": connected,
-                "serial_fallback_cells": serial_fallback_cells,
-                "seconds": round(tcp_s, 4),
-                "cells_per_second": tcp_cps,
-                "vs_warm_pool": round(tcp_cps / warm_cps, 3)
-                if warm_cps else 0.0,
-            },
+        "serial": {
+            "seconds": round(serial_s, 4),
+            "cells_per_second": round(n / serial_s, 3),
         },
-    }
-
-
-def _measure_service_roundtrip() -> dict:
-    """HTTP sweep-service latencies over a real loopback socket.
-
-    Times the full client experience: a cold submit-to-complete of the
-    smoke pair (simulation included), then a duplicate submission that
-    must be served from the store — its round-trip is pure service +
-    store overhead.  The single-flight/dedup invariant is recorded
-    (``simulations`` must equal the distinct cell count).
-    """
-    import json as json_mod
-    import tempfile
-    import threading
-    import urllib.request
-
-    from repro.runner.service import SweepService, make_server
-    from repro.runner.store import ResultStore
-
-    payload = {"workloads": [WORKLOAD], "protocols": list(PROTOCOLS),
-               "scale": SCALE}
-
-    def call(base, method, path, body=None):
-        data = (json_mod.dumps(body).encode()
-                if body is not None else None)
-        req = urllib.request.Request(base + path, data=data,
-                                     method=method)
-        with urllib.request.urlopen(req, timeout=120) as resp:
-            return json_mod.loads(resp.read())
-
-    with tempfile.TemporaryDirectory() as tmp:
-        service = SweepService(store=ResultStore(tmp), jobs=1)
-        server = make_server(service)
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
-        try:
-            host, port = server.socket.getsockname()[:2]
-            base = f"http://{host}:{port}"
-            t0 = time.perf_counter()
-            receipt = call(base, "POST", "/v1/submit", payload)
-            while True:
-                status = call(base, "GET", f"/v1/jobs/{receipt['job']}")
-                if status["finished"]:
-                    break
-                time.sleep(0.01)
-            cold_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            again = call(base, "POST", "/v1/submit", payload)
-            call(base, "GET", f"/v1/jobs/{again['job']}/results")
-            cached_s = time.perf_counter() - t0
-            stats = service.snapshot()["stats"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.stop()
-    return {
-        "cells": receipt["total"],
-        "cold_seconds": round(cold_s, 4),
-        "cached_roundtrip_ms": round(cached_s * 1000, 2),
-        "simulations": stats["simulations"],
-        "dedup_ok": (stats["simulations"] == receipt["total"]
-                     and again["cached"] == receipt["total"]),
+        "pool": {
+            "cold_seconds": round(cold_s, 4),
+            "cold_cells_per_second": round(n / cold_s, 3),
+            "warm_seconds": round(warm_s, 4),
+            "warm_cells_per_second": round(n / warm_s, 3),
+        },
     }
 
 
@@ -575,13 +435,8 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
         # memo: what a persistent worker saves from its second cell of
         # a (workload, shape) onwards.
         "trace_memo": _measure_trace_memo(scale, repeats),
-        # The same mini-sweep through every execution backend: serial
-        # reference, cold/warm pool, tcp with real loopback workers.
+        # The same mini-sweep run serially and on the cold/warm pool.
         "sweep_throughput": _measure_sweep_throughput(scale),
-        # Full HTTP client experience against the sweep service: cold
-        # submit-to-complete, then a duplicate submission served from
-        # the store (pure service + store overhead).
-        "service_roundtrip": _measure_service_roundtrip(),
         # Post-hoc energy model: pure arithmetic over stored counters,
         # so derivation cost must stay a rounding error next to
         # simulation (asserted above against ENERGY_OVERHEAD_BUDGET).
@@ -881,48 +736,6 @@ def check_scheduler_floor(record: dict,
                  f"{len(ratios)} paired cells (floor {floor:.2f}x)")
     return {"ok": ok, "lines": lines, "cells": cells,
             "aggregate": round(aggregate, 4)}
-
-
-def check_backend_floor(record: dict,
-                        floor: float = TCP_BACKEND_FLOOR) -> dict:
-    """Gate the tcp backend against the warm pool within one record.
-
-    Both paths run the same parallel lanes on one host, so tcp's
-    framing/lease/decode overhead must stay a small tax: the gate
-    passes when tcp cells/s is at least ``floor`` x the warm pool's.
-    The gate is skipped (vacuous pass, with a note) on pre-v6 records
-    without a backend axis, and when the measurement itself degraded —
-    fewer workers connected than requested, or cells fell back to the
-    serial path — since the ratio then measures the degradation, not
-    the overhead.
-    """
-    sweep_thr = record.get("sweep_throughput") or {}
-    backends = sweep_thr.get("backends")
-    lines: List[str] = []
-    if not backends:
-        lines.append("note record has no backend-keyed "
-                     "sweep_throughput (pre-v6); backend gate skipped")
-        return {"ok": True, "lines": lines, "ratio": None}
-    tcp = backends.get("tcp", {})
-    pool = backends.get("pool", {})
-    warm_cps = pool.get("warm_cells_per_second", 0.0)
-    tcp_cps = tcp.get("cells_per_second", 0.0)
-    if tcp.get("workers", 0) < TCP_WORKERS or tcp.get(
-            "serial_fallback_cells", 0):
-        lines.append(
-            f"note tcp measurement degraded ({tcp.get('workers', 0)}/"
-            f"{TCP_WORKERS} workers, "
-            f"{tcp.get('serial_fallback_cells', 0)} serial-fallback "
-            f"cells); backend gate skipped")
-        return {"ok": True, "lines": lines, "ratio": None}
-    ratio = tcp_cps / warm_cps if warm_cps else 0.0
-    ok = ratio >= floor
-    mark = "ok  " if ok else "FAIL"
-    lines.append(
-        f"{mark} tcp({tcp['workers']}w) {tcp_cps:.2f} cells/s = "
-        f"{ratio:.2f}x warm pool {warm_cps:.2f} cells/s "
-        f"(floor {floor:.2f}x)")
-    return {"ok": ok, "lines": lines, "ratio": round(ratio, 4)}
 
 
 def load_record(path: str) -> dict:

@@ -71,7 +71,8 @@ _WHEEL_MASK = _WHEEL_SIZE - 1
 SCHEDULERS = ("heap", "wheel")
 
 #: Default scheduler: the wheel, bit-identical to the heap (pinned by
-#: the golden grid under both) and faster on the hot path.
+#: the golden grid under both) and measured at parity with it —
+#: scheduler operations are only ~1-2% of a cell's runtime.
 DEFAULT_SCHEDULER = "wheel"
 
 

@@ -1,37 +1,27 @@
 """Parallel sweep-execution subsystem.
 
-Shards the paper's (workload x protocol) simulation grid across a
-pluggable execution backend, persists every cell in a durable
+Shards the paper's (workload x protocol) simulation grid across a warm
+process pool (or runs it serially), persists every cell in a durable
 content-addressed store, and exposes the whole pipeline on the command
 line via ``python -m repro``.
 
-* :mod:`repro.runner.jobs`     — :class:`JobSpec` and deterministic keys
-* :mod:`repro.runner.backends` — execution backends (serial/pool/tcp)
-* :mod:`repro.runner.pool`     — the warm process pool (:func:`sweep_grid`)
-* :mod:`repro.runner.worker`   — ``python -m repro worker`` (tcp remote)
-* :mod:`repro.runner.store`    — the durable :class:`ResultStore`
-* :mod:`repro.runner.service`  — ``python -m repro serve`` (HTTP API)
-* :mod:`repro.runner.cli`      — the ``python -m repro`` entry point
+* :mod:`repro.runner.jobs`  — :class:`JobSpec` and deterministic keys
+* :mod:`repro.runner.pool`  — serial and warm-pool execution (:func:`sweep`)
+* :mod:`repro.runner.store` — the durable :class:`ResultStore`
+* :mod:`repro.runner.cli`   — the ``python -m repro`` entry point
 """
 
-from repro.runner.backends import (
-    BACKEND_NAMES, ExecutionBackend, PoolBackend, SerialBackend,
-    TcpBackend, resolve_backend, validate_backend)
 from repro.runner.jobs import (
-    DEFAULT_SEED, GRID_VERSION, JobSpec, config_key, expand_grid,
-    spec_from_dict, spec_to_dict)
+    DEFAULT_SEED, GRID_VERSION, JobSpec, config_key, expand_grid)
 from repro.runner.pool import (
     JobOutcome, execute_job, run_jobs, sweep, sweep_grid, sweep_shapes)
 from repro.runner.store import (
-    ResultStore, default_cache_dir, register_sidecar, registered_sidecars,
-    result_from_dict, result_to_dict)
+    ResultStore, default_cache_dir, register_sidecar, result_from_dict,
+    result_to_dict)
 
 __all__ = [
-    "BACKEND_NAMES", "DEFAULT_SEED", "ExecutionBackend", "GRID_VERSION",
-    "JobOutcome", "JobSpec", "PoolBackend", "ResultStore", "SerialBackend",
-    "TcpBackend", "config_key", "default_cache_dir", "execute_job",
-    "expand_grid", "register_sidecar", "registered_sidecars",
-    "resolve_backend", "result_from_dict", "result_to_dict", "run_jobs",
-    "spec_from_dict", "spec_to_dict", "sweep", "sweep_grid",
-    "sweep_shapes", "validate_backend",
+    "DEFAULT_SEED", "GRID_VERSION", "JobOutcome", "JobSpec", "ResultStore",
+    "config_key", "default_cache_dir", "execute_job", "expand_grid",
+    "register_sidecar", "result_from_dict", "result_to_dict", "run_jobs",
+    "sweep", "sweep_grid", "sweep_shapes",
 ]

@@ -238,7 +238,6 @@ def run_jobs(specs: Sequence[JobSpec],
              jobs: int = 1,
              retries: int = 1,
              notify: Optional[Callable[[int, JobOutcome], None]] = None,
-             chunk_size: int = 1,
              store_dir: Optional[str] = None,
              ) -> List[JobOutcome]:
     """Execute every spec, returning outcomes in input order.
@@ -247,14 +246,18 @@ def run_jobs(specs: Sequence[JobSpec],
     ordering — the reference path).  ``notify(index, outcome)``, when
     given, fires as each cell completes (completion order).
 
-    ``chunk_size > 1`` submits contiguous runs of specs as one pool
-    task: the worker simulates the whole chunk (sharing its memoized
-    trace) and, when ``store_dir`` is given, persists the chunk's
-    results itself in one batch — those outcomes come back with
-    ``saved=True``.  Retry rounds degrade to single-cell tasks so one
-    poison cell cannot take healthy neighbours down with it.
+    Once a sweep has more than 4 cells per worker, the pool takes
+    contiguous chunks of up to 4 specs as one task: the worker
+    simulates the whole chunk (sharing its memoized trace) and, when
+    ``store_dir`` is given, persists the chunk's results itself in one
+    batch — those outcomes come back with ``saved=True``.  Retry
+    rounds degrade to single-cell tasks so one poison cell cannot take
+    healthy neighbours down with it.
     """
     specs = list(specs)
+    chunk_size = 1
+    if jobs > 1 and len(specs) > jobs * 4:
+        chunk_size = min(4, len(specs) // (jobs * 2))
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
 
     def finish(index: int, result: RunResult, elapsed: float,
@@ -288,7 +291,7 @@ def run_jobs(specs: Sequence[JobSpec],
         failed: List[int] = []
         workers = min(jobs, len(remaining))
         ex = _warm_pool(workers, [specs[i] for i in remaining])
-        csize = max(1, chunk_size) if _round == 0 else 1
+        csize = chunk_size if _round == 0 else 1
         chunks = [remaining[k:k + csize]
                   for k in range(0, len(remaining), csize)]
         futures = {
@@ -337,21 +340,15 @@ def sweep(specs: Sequence[JobSpec],
           store: Optional[ResultStore] = None,
           use_cache: bool = True,
           retries: int = 1,
-          progress: Optional[ProgressFn] = None,
-          backend=None) -> List[JobOutcome]:
+          progress: Optional[ProgressFn] = None) -> List[JobOutcome]:
     """Run a sweep against the durable store.
 
     Cells already in the store are served from disk; the rest execute
-    through an :mod:`execution backend <repro.runner.backends>` —
-    ``backend`` is a backend name (``serial``/``pool``/``tcp``), an
-    :class:`~repro.runner.backends.base.ExecutionBackend` instance, or
-    ``None`` for the classic behaviour (``serial`` when ``jobs <= 1``,
-    the warm process ``pool`` otherwise).  Any cell the backend did not
-    persist itself is persisted here as it completes.  With
-    ``use_cache=False`` nothing is read from or written to disk.
+    through :func:`run_jobs` — serially in this process when
+    ``jobs <= 1``, on the warm process pool otherwise.  Any cell a pool
+    worker did not persist itself is persisted here as it completes.
+    With ``use_cache=False`` nothing is read from or written to disk.
     """
-    from repro.runner.backends import resolve_backend
-
     specs = list(specs)
     store = store if store is not None else ResultStore()
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
@@ -382,14 +379,9 @@ def sweep(specs: Sequence[JobSpec],
         outcomes[i] = outcome
         report(outcome)
 
-    exec_backend, owned = resolve_backend(backend, jobs=jobs)
-    try:
-        exec_backend.run_specs(
-            [specs[i] for i in pending], notify=notify, retries=retries,
-            store_dir=os.fspath(store.directory) if use_cache else None)
-    finally:
-        if owned:
-            exec_backend.close()
+    run_jobs([specs[i] for i in pending], jobs=jobs, retries=retries,
+             notify=notify,
+             store_dir=os.fspath(store.directory) if use_cache else None)
     return outcomes  # type: ignore[return-value]
 
 
@@ -402,8 +394,7 @@ def sweep_grid(workloads: Optional[Sequence[str]] = None,
                store: Optional[ResultStore] = None,
                use_cache: bool = True,
                retries: int = 1,
-               progress: Optional[ProgressFn] = None,
-               backend=None) -> Grid:
+               progress: Optional[ProgressFn] = None) -> Grid:
     """Sweep the (workload x protocol) grid; returns paper-order results.
 
     Drop-in data source for the figure/report renderers:
@@ -412,7 +403,7 @@ def sweep_grid(workloads: Optional[Sequence[str]] = None,
     """
     specs = expand_grid(workloads, protocols, scale, config, seed=seed)
     outcomes = sweep(specs, jobs=jobs, store=store, use_cache=use_cache,
-                     retries=retries, progress=progress, backend=backend)
+                     retries=retries, progress=progress)
     grid: Grid = {}
     for outcome in outcomes:
         grid.setdefault(outcome.spec.workload, {})[
@@ -431,7 +422,6 @@ def sweep_shapes(tiles: Sequence[int],
                  use_cache: bool = True,
                  retries: int = 1,
                  progress: Optional[ProgressFn] = None,
-                 backend=None,
                  ) -> Dict[int, Grid]:
     """Sweep the (workload x shape x protocol) grid over a tiles axis.
 
@@ -442,7 +432,7 @@ def sweep_shapes(tiles: Sequence[int],
     specs = expand_grid(workloads, protocols, scale, config, seed=seed,
                         tiles=tiles)
     outcomes = sweep(specs, jobs=jobs, store=store, use_cache=use_cache,
-                     retries=retries, progress=progress, backend=backend)
+                     retries=retries, progress=progress)
     shapes: Dict[int, Grid] = {}
     for outcome in outcomes:
         spec = outcome.spec

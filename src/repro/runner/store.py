@@ -14,7 +14,7 @@ Properties the sweep runner relies on:
   wrong-schema file loads as ``None``; callers fall back to
   re-simulation and the next save repairs the file.
 * **Versioned schema** — files carry a ``schema_version``; the legacy
-  bare-payload format written by the old ``analysis.persist`` module
+  bare-payload format written by the former ``analysis.persist`` module
   (schema 0) is still readable so existing caches keep working.
 * **Relocatable** — the directory defaults to ``.repro_cache/`` under
   the current directory and is overridden by ``$REPRO_CACHE_DIR``.
@@ -36,9 +36,9 @@ from repro.waste.profiler import Category
 SCHEMA_VERSION = 1
 
 #: Registered sidecar filenames: non-result files that live next to the
-#: cells (sweep telemetry, the service's queue state) and are excluded
-#: from :meth:`ResultStore.entries`, so ``clear``/``__len__`` and any
-#: cache accounting never mistake them for cells.  Subsystems register
+#: cells (such as sweep telemetry) and are excluded from
+#: :meth:`ResultStore.entries`, so ``clear``/``__len__`` and any cache
+#: accounting never mistake them for cells.  Subsystems register
 #: theirs via :func:`register_sidecar` (``sidecar_path`` registers
 #: automatically).
 _SIDECARS = {"telemetry.json"}
@@ -58,11 +58,6 @@ def register_sidecar(name: str) -> str:
         raise ValueError(f"sidecar name {name!r} must end in .json")
     _SIDECARS.add(name)
     return name
-
-
-def registered_sidecars() -> frozenset:
-    """The current set of registered sidecar filenames."""
-    return frozenset(_SIDECARS)
 
 
 def default_cache_dir() -> Path:

@@ -6,8 +6,7 @@ import pytest
 
 from repro.bench import (
     COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, SCHEMA_VERSION,
-    TCP_BACKEND_FLOOR, TCP_WORKERS, WHEEL_SPEEDUP_FLOOR, DirtyBaseline,
-    RecordMismatch, check_backend_floor, check_engine_floor,
+    WHEEL_SPEEDUP_FLOOR, DirtyBaseline, RecordMismatch, check_engine_floor,
     check_scheduler_floor, compare_records, write_record)
 
 
@@ -250,66 +249,6 @@ class TestSchedulerFloor:
         outcome = check_scheduler_floor(_record(orphan))
         assert outcome["ok"]
         assert not outcome["cells"]
-
-
-def _backend_record(tcp_cps, warm_cps=2.0, workers=TCP_WORKERS,
-                    fallback=0):
-    record = _record(CELLS)
-    record["sweep_throughput"] = {
-        "cells": 4, "jobs": 2,
-        "backends": {
-            "serial": {"seconds": 4.0, "cells_per_second": 1.0},
-            "pool": {"cold_seconds": 3.0, "cold_cells_per_second": 1.33,
-                     "warm_seconds": 4 / warm_cps,
-                     "warm_cells_per_second": warm_cps},
-            "tcp": {"workers": workers,
-                    "serial_fallback_cells": fallback,
-                    "seconds": 4 / tcp_cps,
-                    "cells_per_second": tcp_cps,
-                    "vs_warm_pool": round(tcp_cps / warm_cps, 3)},
-        },
-    }
-    return record
-
-
-class TestBackendFloor:
-    def test_tcp_at_parity_passes(self):
-        outcome = check_backend_floor(_backend_record(tcp_cps=2.0))
-        assert outcome["ok"]
-        assert outcome["ratio"] == 1.0
-
-    def test_tcp_below_floor_fails(self):
-        slow = _backend_record(tcp_cps=2.0 * (TCP_BACKEND_FLOOR - 0.05))
-        outcome = check_backend_floor(slow)
-        assert not outcome["ok"]
-        assert any(l.startswith("FAIL") for l in outcome["lines"])
-
-    def test_custom_floor(self):
-        outcome = check_backend_floor(_backend_record(tcp_cps=2.0),
-                                      floor=1.5)
-        assert not outcome["ok"]
-
-    def test_pre_v6_record_is_vacuous_pass(self):
-        # Old records carry the flat pool-only shape (or nothing).
-        record = _record(CELLS)
-        record["sweep_throughput"] = {"cells": 4, "jobs": 2,
-                                      "warm_cells_per_second": 2.0}
-        outcome = check_backend_floor(record)
-        assert outcome["ok"] and outcome["ratio"] is None
-        assert any("pre-v6" in l for l in outcome["lines"])
-        outcome = check_backend_floor(_record(CELLS))
-        assert outcome["ok"] and outcome["ratio"] is None
-
-    def test_degraded_measurement_skips_not_fails(self):
-        # A worker that failed to connect (or serial fallback) makes
-        # the ratio meaningless — skip with a note, don't fail.
-        outcome = check_backend_floor(
-            _backend_record(tcp_cps=0.1, workers=TCP_WORKERS - 1))
-        assert outcome["ok"] and outcome["ratio"] is None
-        assert any("degraded" in l for l in outcome["lines"])
-        outcome = check_backend_floor(
-            _backend_record(tcp_cps=0.1, fallback=2))
-        assert outcome["ok"] and outcome["ratio"] is None
 
 
 class TestWriteRecord:

@@ -12,8 +12,9 @@ from repro.analysis import experiments
 from repro.common.config import ScaleConfig, SystemConfig, scaled_system
 from repro.runner import (
     DEFAULT_SEED, JobSpec, ResultStore, config_key, expand_grid,
-    result_to_dict, run_jobs, sweep, sweep_grid)
+    register_sidecar, result_to_dict, run_jobs, sweep, sweep_grid)
 from repro.runner.cli import main as cli_main
+from repro.waste.profiler import Category
 
 TINY = ScaleConfig.tiny()
 TINY_SYSTEM = scaled_system(TINY)
@@ -68,6 +69,12 @@ class TestJobSpec:
             scaled_system(DEFAULT_SCALE)) == "d3e5d4b8ec90250d"
         assert spec().store_key() == "cf3759003e50eaa9-t16"
 
+    def test_config_key_stable_and_sensitive(self):
+        base = config_key(ScaleConfig(), SystemConfig())
+        assert base == config_key(ScaleConfig(), SystemConfig())
+        assert base != config_key(ScaleConfig.tiny(), SystemConfig())
+        assert base != config_key(ScaleConfig(), SystemConfig(l1_kb=64))
+
     def test_store_key_includes_non_default_seed(self):
         assert spec(seed=7).store_key() != spec().store_key()
         assert spec(seed=7).store_key().startswith(
@@ -121,6 +128,8 @@ class TestResultStore:
         loaded = store.load("radix", "MESI", "k")
         assert loaded is not None
         assert result_to_dict(loaded) == result_to_dict(radix_result)
+        for waste in (loaded.l1_waste, loaded.l2_waste, loaded.mem_waste):
+            assert all(isinstance(k, Category) for k in waste)
 
     def test_missing_is_none(self, store):
         assert store.load("radix", "MESI", "absent") is None
@@ -151,6 +160,13 @@ class TestResultStore:
         loaded = store.load("radix", "MESI", "k")
         assert loaded is not None
         assert loaded.traffic == radix_result.traffic
+
+    def test_register_sidecar_validates(self):
+        assert register_sidecar("telemetry.json") == "telemetry.json"
+        with pytest.raises(ValueError):
+            register_sidecar("../escape.json")
+        with pytest.raises(ValueError):
+            register_sidecar("not-json.txt")
 
     def test_concurrent_writers_never_tear(self, store, radix_result):
         """Many writers racing on one cell: readers always see a whole
@@ -467,40 +483,14 @@ class TestCLI:
         assert "removed" in capsys.readouterr().out
         assert len(ResultStore(tmp_path)) == 0
 
-    def test_sweep_backend_flag_serial(self, tmp_path, capsys):
-        rc = cli_main(["sweep", "--workloads", "stream",
-                       "--protocols", "MESI", "--scale", "tiny",
-                       "--backend", "serial",
+    def test_negative_jobs_is_a_clean_cli_error(self, tmp_path, capsys):
+        rc = cli_main(["sweep", "--jobs", "-3", "--scale", "tiny",
+                       "--workloads", "stream", "--protocols", "MESI",
                        "--cache-dir", str(tmp_path)])
-        assert rc == 0
-        assert len(ResultStore(tmp_path)) == 1
-
-    def test_unknown_backend_suggests_near_miss(self, capsys):
-        rc = cli_main(["sweep", "--backend", "seriall", "--scale", "tiny"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "seriall" in err
-        assert "did you mean 'serial'" in err
-
-    def test_bind_requires_tcp_backend(self, capsys):
-        rc = cli_main(["sweep", "--backend", "pool",
-                       "--bind", "127.0.0.1:7421", "--scale", "tiny"])
-        assert rc == 2
-        assert "requires --backend tcp" in capsys.readouterr().err
-
-    def test_backends_subcommand_prints_matrix(self, capsys):
-        rc = cli_main(["backends"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        for name in ("serial", "pool", "tcp"):
-            assert name in out
-        assert "bit-identical" in out
-        assert "python -m repro worker" in out
-
-    def test_worker_bad_endpoint_is_a_clean_cli_error(self, capsys):
-        rc = cli_main(["worker", "--connect", "nonsense"])
-        assert rc == 2
-        assert "HOST:PORT" in capsys.readouterr().err
+        assert "--jobs" in err and "-3" in err
+        assert len(ResultStore(tmp_path)) == 0
 
     def test_module_entry_point(self, tmp_path):
         """python -m repro works as an installed-style entry point."""

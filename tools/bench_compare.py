@@ -9,10 +9,8 @@ committed repo-root ``BENCH_sweep.json``) and a freshly measured one:
 * smaller regressions print a non-blocking warning (runner noise);
 * records with a missing or different ``schema_version``, or from a
   different bench suite, are refused outright (exit 2);
-* a backend section diffs per-backend sweep throughput (serial, warm
-  pool, tcp) between the records and gates the current record's tcp
-  backend against its warm pool (``--backend-floor``, default 0.9x) —
-  skipped with a note when either record predates the backend axis;
+* a sweep section diffs mini-sweep throughput (serial, warm pool)
+  between the records, for information only;
 * with ``--attrib-delta``, a failed gate additionally prints the top
   attribution movers (lifecycle segments, stall causes, compute) so
   the failure names *which* part of the simulated work changed — or
@@ -30,31 +28,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import (
-    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, TCP_BACKEND_FLOOR,
-    WHEEL_SPEEDUP_FLOOR, RecordMismatch, attrib_delta,
-    check_backend_floor, check_engine_floor, check_scheduler_floor,
-    compare_records, load_record)
+    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, WHEEL_SPEEDUP_FLOOR,
+    RecordMismatch, attrib_delta, check_engine_floor,
+    check_scheduler_floor, compare_records, load_record)
 
 
-def _backend_cps(record: dict) -> dict:
-    """{backend: cells_per_second} from a record, {} when pre-v6."""
-    backends = (record.get("sweep_throughput") or {}).get("backends")
-    if not backends:
-        return {}
+def _sweep_cps(record: dict) -> dict:
+    """{path: cells_per_second} of the record's mini-sweep."""
+    sweep_thr = record["sweep_throughput"]
     return {
-        "serial": backends["serial"].get("cells_per_second", 0.0),
-        "pool(warm)": backends["pool"].get("warm_cells_per_second", 0.0),
-        "tcp": backends["tcp"].get("cells_per_second", 0.0),
+        "serial": sweep_thr["serial"]["cells_per_second"],
+        "pool(warm)": sweep_thr["pool"]["warm_cells_per_second"],
     }
 
 
-def backend_section(baseline: dict, current: dict) -> list:
-    """Per-backend sweep-throughput deltas between the two records."""
-    base_cps, cur_cps = _backend_cps(baseline), _backend_cps(current)
-    if not base_cps or not cur_cps:
-        return ["note backend throughput delta skipped (a record "
-                "predates the backend axis)"]
-    lines = ["backend sweep throughput (cells/s, baseline -> current):"]
+def sweep_section(baseline: dict, current: dict) -> list:
+    """Mini-sweep throughput deltas between the two records."""
+    base_cps, cur_cps = _sweep_cps(baseline), _sweep_cps(current)
+    lines = ["sweep throughput (cells/s, baseline -> current):"]
     for name, cur in cur_cps.items():
         base = base_cps.get(name, 0.0)
         ratio = cur / base if base else 0.0
@@ -79,10 +70,6 @@ def main(argv=None) -> int:
                         default=WHEEL_SPEEDUP_FLOOR,
                         help="minimum wheel/heap speedup per cell "
                              f"(default: {WHEEL_SPEEDUP_FLOOR})")
-    parser.add_argument("--backend-floor", type=float,
-                        default=TCP_BACKEND_FLOOR,
-                        help="minimum tcp/warm-pool sweep throughput "
-                             f"ratio (default: {TCP_BACKEND_FLOOR})")
     parser.add_argument("--attrib-delta", action="store_true",
                         help="when a gate fails, diff the records' "
                              "attribution profiles and print the top "
@@ -111,12 +98,8 @@ def main(argv=None) -> int:
                                            floor=ns.scheduler_floor)
     for line in scheduler_gate["lines"]:
         print(line)
-    # Backend section: per-backend throughput deltas, plus the tcp
-    # vs warm-pool floor on the current record.
-    for line in backend_section(baseline, current):
-        print(line)
-    backend_gate = check_backend_floor(current, floor=ns.backend_floor)
-    for line in backend_gate["lines"]:
+    # Sweep section: serial and warm-pool throughput deltas (no gate).
+    for line in sweep_section(baseline, current):
         print(line)
     failed = False
     if not outcome["ok"]:
@@ -130,10 +113,6 @@ def main(argv=None) -> int:
     if not scheduler_gate["ok"]:
         print(f"bench_compare: wheel scheduler fell below "
               f"{ns.scheduler_floor:.2f}x the heap", file=sys.stderr)
-        failed = True
-    if not backend_gate["ok"]:
-        print(f"bench_compare: tcp backend fell below "
-              f"{ns.backend_floor:.2f}x the warm pool", file=sys.stderr)
         failed = True
     if ns.attrib_delta and failed:
         # Attribute the failure: did the simulated work move, or is
