@@ -1,16 +1,11 @@
-"""Tests for result serialization and the disk cache."""
-
-import importlib
-import warnings
+"""Tests for result serialization, the disk cache and its config keys."""
 
 import pytest
 
-with warnings.catch_warnings():
-    # The compat shim's DeprecationWarning is covered explicitly below.
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.analysis import persist
 from repro.common.config import ScaleConfig, SystemConfig, scaled_system
 from repro.core.simulator import simulate
+from repro.runner.jobs import config_key
+from repro.runner.store import ResultStore, result_from_dict, result_to_dict
 from repro.workloads import build_workload
 from repro.waste.profiler import Category
 
@@ -24,8 +19,8 @@ def result():
 
 class TestRoundTrip:
     def test_dict_roundtrip_preserves_everything(self, result):
-        data = persist.result_to_dict(result)
-        back = persist.result_from_dict(data)
+        data = result_to_dict(result)
+        back = result_from_dict(data)
         assert back.workload == result.workload
         assert back.protocol == result.protocol
         assert back.traffic == result.traffic
@@ -37,56 +32,40 @@ class TestRoundTrip:
         assert back.dram_stats == result.dram_stats
 
     def test_waste_keys_are_categories(self, result):
-        back = persist.result_from_dict(persist.result_to_dict(result))
+        back = result_from_dict(result_to_dict(result))
         assert all(isinstance(k, Category) for k in back.l1_waste)
 
     def test_save_and_load(self, result, tmp_path):
         key = "deadbeef"
-        persist.save_result(result, key, directory=tmp_path)
-        loaded = persist.load_result(result.workload, result.protocol,
-                                     key, directory=tmp_path)
+        ResultStore(tmp_path).save(result, key)
+        loaded = ResultStore(tmp_path).load(result.workload, result.protocol,
+                                            key)
         assert loaded is not None
         assert loaded.traffic == result.traffic
 
     def test_load_missing_returns_none(self, tmp_path):
-        assert persist.load_result("x", "y", "z", directory=tmp_path) is None
+        assert ResultStore(tmp_path).load("x", "y", "z") is None
 
     def test_load_corrupt_returns_none(self, result, tmp_path):
         key = "cafe"
-        path = persist.save_result(result, key, directory=tmp_path)
+        path = ResultStore(tmp_path).save(result, key)
         path.write_text("{not json")
-        assert persist.load_result(result.workload, result.protocol, key,
-                                   directory=tmp_path) is None
-
-
-class TestDeprecation:
-    def test_import_emits_deprecation_warning(self):
-        """The shim warns on import so callers migrate to runner.store."""
-        with pytest.warns(DeprecationWarning,
-                          match="repro.analysis.persist is deprecated"):
-            importlib.reload(persist)
-
-    def test_shim_still_delegates_after_reload(self, result, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            importlib.reload(persist)
-        persist.save_result(result, "dep", directory=tmp_path)
-        assert persist.load_result(result.workload, result.protocol,
-                                   "dep", directory=tmp_path) is not None
+        assert ResultStore(tmp_path).load(result.workload, result.protocol,
+                                          key) is None
 
 
 class TestConfigKey:
     def test_stable(self):
-        a = persist.config_key(ScaleConfig(), SystemConfig())
-        b = persist.config_key(ScaleConfig(), SystemConfig())
+        a = config_key(ScaleConfig(), SystemConfig())
+        b = config_key(ScaleConfig(), SystemConfig())
         assert a == b
 
     def test_differs_by_scale(self):
-        a = persist.config_key(ScaleConfig(), SystemConfig())
-        b = persist.config_key(ScaleConfig.tiny(), SystemConfig())
+        a = config_key(ScaleConfig(), SystemConfig())
+        b = config_key(ScaleConfig.tiny(), SystemConfig())
         assert a != b
 
     def test_differs_by_system(self):
-        a = persist.config_key(ScaleConfig(), SystemConfig())
-        b = persist.config_key(ScaleConfig(), SystemConfig(l1_kb=64))
+        a = config_key(ScaleConfig(), SystemConfig())
+        b = config_key(ScaleConfig(), SystemConfig(l1_kb=64))
         assert a != b

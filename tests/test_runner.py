@@ -69,12 +69,6 @@ class TestJobSpec:
             scaled_system(DEFAULT_SCALE)) == "d3e5d4b8ec90250d"
         assert spec().store_key() == "cf3759003e50eaa9-t16"
 
-    def test_config_key_stable_and_sensitive(self):
-        base = config_key(ScaleConfig(), SystemConfig())
-        assert base == config_key(ScaleConfig(), SystemConfig())
-        assert base != config_key(ScaleConfig.tiny(), SystemConfig())
-        assert base != config_key(ScaleConfig(), SystemConfig(l1_kb=64))
-
     def test_store_key_includes_non_default_seed(self):
         assert spec(seed=7).store_key() != spec().store_key()
         assert spec(seed=7).store_key().startswith(
