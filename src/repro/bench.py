@@ -4,13 +4,12 @@ Two halves, shared by ``benchmarks/perf_smoke.py``, ``python -m repro
 bench`` and ``tools/bench_compare.py``:
 
 * :func:`run_smoke` times a tiny-scale radix x {MESI, DeNovo} sweep
-  under both execution engines *and* both event schedulers, asserting
-  bit-identity across every variant per cell, and returns a JSON-able
-  record.  All variants of all cells are timed **interleaved**
-  (A/B/A/B… across the whole variant list, ``repeats`` rounds) and each
-  cell records its **median** — run-to-run drift on a shared runner
-  hits every variant alike instead of masquerading as a speedup for
-  whichever happened to run in the quiet window.  The record carries
+  (plus MESI on one extra machine shape) and returns a JSON-able
+  record.  All cells are timed **interleaved** (A/B/A/B… across the
+  whole cell list, ``repeats`` rounds) and each cell records its
+  **median** — run-to-run drift on a shared runner hits every cell
+  alike instead of landing on whichever ran in a slow window.  The
+  record carries
   ``schema_version`` and a ``git_describe`` stamp so records from
   incompatible layouts or unknown commits are never silently compared;
   :func:`write_record` refuses to stamp the committed baseline from a
@@ -19,10 +18,8 @@ bench`` and ``tools/bench_compare.py``:
   ``events_per_second`` and classifies the outcome: any cell regressing
   by more than the threshold (default 15%) fails the gate; smaller
   regressions are reported as warnings (runner noise), improvements are
-  reported as speedups.  :func:`check_engine_floor` gates the compiled
-  engine's per-cell speedup within one record;
-  :func:`check_scheduler_floor` gates the wheel scheduler against the
-  heap the same way.
+  reported as speedups.  :func:`attrib_delta` names the attribution
+  segment that moved between two records.
 
 The smoke cells run in-process, serially and cache-free, so the numbers
 are pure simulation speed — the perf trajectory of the simulator hot
@@ -56,46 +53,15 @@ from typing import Dict, List, Tuple
 #: (serial, pool cold/warm, tcp) and a ``service_roundtrip`` section
 #: timed the HTTP sweep service.  v7: the tcp backend and the service
 #: are gone, so ``sweep_throughput`` holds only ``serial`` and ``pool``
-#: (cold/warm) and the ``service_roundtrip`` section is removed.
-SCHEMA_VERSION = 7
+#: (cold/warm) and the ``service_roundtrip`` section is removed.  v8:
+#: one engine on one scheduler, so cells are keyed (workload, protocol,
+#: tiles) with no ``engine``/``scheduler`` fields and no best-of
+#: statistics (only the removed speedup floors read them).
+SCHEMA_VERSION = 8
 
 #: Hard-fail threshold of the regression gate: a cell whose
 #: events_per_second drops by more than this fraction fails CI.
 REGRESSION_THRESHOLD = 0.15
-
-#: Execution engines each (workload, protocol) cell is timed under.
-ENGINES = ("reference", "compiled")
-
-#: Event schedulers each cell is timed under (see repro.engine.events).
-SCHEDULERS = ("heap", "wheel")
-
-#: Minimum compiled/reference events-per-second ratio the engine gate
-#: accepts, per cell.  The compiled engine currently delivers ~1.2-1.4x
-#: over the (already allocation-light) reference on CPython 3.11 —
-#: short of the 2.5-3x the table-compilation work aimed for, because
-#: the shared floors (trace interpretation, cache lookups, event
-#: dispatch) dominate once the protocol handlers and the network walk
-#: are fused.  The floor is set with margin below the achieved ratio so
-#: CI catches the compiled engine ever becoming slower than the
-#: reference (the failure mode that matters: a "fast engine" that
-#: silently is not), without flaking on runner noise.
-COMPILED_SPEEDUP_FLOOR = 1.02
-
-#: Minimum wheel/heap events-per-second ratio, applied to the
-#: geometric mean across every paired cell (best-of timings).  The
-#: wheel is the default scheduler; this gate exists to catch it ever
-#: becoming *structurally* slower than the heap it replaced, not to
-#: claim a win: scheduler operations are only ~1-2% of runtime (the
-#: callbacks dominate), so the two schedulers genuinely measure at
-#: parity — repeated interleaved A/B runs land the aggregate anywhere
-#: in 0.96-1.04x, centered on 1.00.  The originally intended ">2%
-#: slower = fail" (0.98) criterion sits *inside* that noise band even
-#: after pooling best-of timings across all paired cells, so it flakes
-#: on jitter rather than catching regressions; the floor is therefore
-#: set just below the observed band.  A real structural regression
-#: (e.g. the wheel degenerating to per-event heap pushes) shows up as
-#: tens of percent, far below this floor.
-WHEEL_SPEEDUP_FLOOR = 0.93
 
 #: Basename of the committed repo-root baseline record.  write_record
 #: refuses to (over)write it from a dirty working tree, so the
@@ -112,10 +78,10 @@ EXTRA_TILES = 4
 #: sweep's simulation wall time (it is pure arithmetic over counters).
 ENERGY_OVERHEAD_BUDGET = 0.05
 
-#: Timing rounds over the interleaved variant list; each cell keeps its
+#: Timing rounds over the interleaved cell list; each cell keeps its
 #: median.  Shared runners are noisy and simulation is deterministic,
-#: so the median of interleaved rounds is the fairest cross-variant
-#: comparison (a quiet window helps every variant equally).
+#: so the median of interleaved rounds is the fairest cross-record
+#: comparison (a quiet window helps every cell equally).
 DEFAULT_REPEATS = 5
 
 
@@ -280,10 +246,8 @@ def _attrib_profile(workload, proto, config) -> dict:
     The timed cells above stay obs-free (that gate passing unchanged is
     the zero-overhead proof); attribution comes from one extra observed
     run per simulated shape.  Its counters are simulated-behaviour
-    facts — bit-equal across engines and schedulers (pinned by
-    ``tests/test_attrib.py``) — so one profile covers all four timed
-    variants of a cell, and a delta between two records means the
-    *simulated work* changed, not the host.
+    facts, identical run to run on one commit, so a delta between two
+    records means the *simulated work* changed, not the host.
     """
     from repro.core.simulator import simulate
     from repro.obs import ObsSession
@@ -313,15 +277,10 @@ def _attrib_profile(workload, proto, config) -> dict:
 def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     """Run the perf smoke suite and return the benchmark record.
 
-    Every (workload, protocol) cell is timed under the full
-    (engine x scheduler) variant matrix, interleaved A/B/A/B across
-    ``repeats`` rounds with per-cell medians; all variants of one cell
-    are asserted bit-identical before any enters the record, so a perf
-    record can never be produced by an engine or scheduler that
-    diverged.
+    Every (workload, protocol, shape) cell is timed once per round,
+    interleaved A/B/A/B across ``repeats`` rounds, and records the
+    median of its rounds.
     """
-    import dataclasses
-
     from repro.common.config import (
         ScaleConfig, registered_energy_models, scaled_system)
     from repro.core.simulator import simulate
@@ -334,63 +293,39 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     workload = build_workload(WORKLOAD, scale)
     build_s = time.perf_counter() - t_build
 
-    # The variant list: every timed (workload, proto, shape, engine,
-    # scheduler) combination, plus one non-default machine shape.
+    # The cell list: every protocol on the default shape, plus one
+    # non-default machine shape.
     shape_config = scaled_system(scale, num_tiles=EXTRA_TILES)
     shape_workload = build_workload(WORKLOAD, scale,
                                     num_cores=EXTRA_TILES)
-    variants = []
-    for proto in PROTOCOLS:
-        for engine in ENGINES:
-            for scheduler in SCHEDULERS:
-                cell_config = dataclasses.replace(
-                    config, engine=engine, scheduler=scheduler)
-                variants.append((workload, proto, cell_config))
-    variants.append((shape_workload, PROTOCOLS[0], shape_config))
+    timed = [(workload, proto, config) for proto in PROTOCOLS]
+    timed.append((shape_workload, PROTOCOLS[0], shape_config))
 
-    # Interleaved timing: one full pass over the variant list per
-    # round, so slow-machine phases hit every variant alike.
-    times: List[List[float]] = [[] for _ in variants]
-    var_results = [None] * len(variants)
+    # Interleaved timing: one full pass over the cell list per round,
+    # so slow-machine phases hit every cell alike.
+    times: List[List[float]] = [[] for _ in timed]
+    cell_results = [None] * len(timed)
     for _round in range(repeats):
-        for i, (wl, proto, cell_config) in enumerate(variants):
+        for i, (wl, proto, cell_config) in enumerate(timed):
             result, elapsed = _timed_run(simulate, wl, proto, cell_config)
             times[i].append(elapsed)
-            var_results[i] = result
+            cell_results[i] = result
 
     cells = []
     results = []
-    by_proto: dict = {}
     for (wl, proto, cell_config), cell_times, result in zip(
-            variants, times, var_results):
+            timed, times, cell_results):
         elapsed = statistics.median(cell_times)
-        best = min(cell_times)
         results.append((result, cell_config))
         cells.append({
             "workload": WORKLOAD,
             "protocol": proto,
             "num_tiles": cell_config.num_tiles,
-            "engine": cell_config.engine,
-            "scheduler": cell_config.scheduler,
             "seconds": round(elapsed, 4),
-            # Best-of round: the noise floor of a deterministic cell,
-            # the statistic tight gates (scheduler floor) pair on.
-            "seconds_min": round(best, 4),
             "events": result.events,
             "events_per_second": round(result.events / elapsed, 1),
-            "events_per_second_best": round(result.events / best, 1),
             "exec_cycles": result.exec_cycles,
         })
-        if cell_config.num_tiles == config.num_tiles:
-            by_proto.setdefault(proto, []).append(
-                (cell_config, dataclasses.asdict(result)))
-    for proto, variant_results in by_proto.items():
-        _cfg0, canonical = variant_results[0]
-        for cfg, result_dict in variant_results[1:]:
-            assert result_dict == canonical, (
-                f"engine={cfg.engine}/scheduler={cfg.scheduler} diverged "
-                f"from {_cfg0.engine}/{_cfg0.scheduler} on "
-                f"{WORKLOAD} x {proto}")
 
     # Energy-derivation cell: price every simulated cell under every
     # registered preset, post hoc.  This must be cheap — it is the whole
@@ -405,9 +340,8 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
             derivations += 1
     energy_s = time.perf_counter() - t0
 
-    # Attribution profiles beside the cells: one per simulated shape
-    # (engine/scheduler variants share theirs — the counters are
-    # bit-equal across variants), collected outside any timing.
+    # Attribution profiles beside the cells: one per timed cell,
+    # collected outside any timing.
     attrib = {}
     for proto in PROTOCOLS:
         attrib[_attrib_key(WORKLOAD, proto, config.num_tiles)] = (
@@ -488,15 +422,13 @@ class RecordMismatch(Exception):
     """Two records cannot be compared (schema/bench layout differs)."""
 
 
-def _cell_key(cell: dict) -> Tuple[str, str, int, str, str]:
-    return (cell["workload"], cell["protocol"], cell["num_tiles"],
-            cell.get("engine", "reference"),
-            cell.get("scheduler", "heap"))
+def _cell_key(cell: dict) -> Tuple[str, str, int]:
+    return (cell["workload"], cell["protocol"], cell["num_tiles"])
 
 
-def _cell_label(key: Tuple[str, str, int, str, str]) -> str:
-    workload, protocol, tiles, engine, scheduler = key
-    return f"{workload} x {protocol} ({tiles}t, {engine}/{scheduler})"
+def _cell_label(key: Tuple[str, str, int]) -> str:
+    workload, protocol, tiles = key
+    return f"{workload} x {protocol} ({tiles}t)"
 
 
 def compare_records(baseline: dict, current: dict,
@@ -535,7 +467,7 @@ def compare_records(baseline: dict, current: dict,
     ok = True
     compared = []
     for key, base in base_cells.items():
-        workload, protocol, tiles, engine, scheduler = key
+        workload, protocol, tiles = key
         label = _cell_label(key)
         new = new_cells.get(key)
         if new is None:
@@ -546,8 +478,7 @@ def compare_records(baseline: dict, current: dict,
         new_eps = new["events_per_second"]
         ratio = new_eps / base_eps if base_eps else 0.0
         cell = {"workload": workload, "protocol": protocol,
-                "num_tiles": tiles, "engine": engine,
-                "scheduler": scheduler, "baseline_eps": base_eps,
+                "num_tiles": tiles, "baseline_eps": base_eps,
                 "current_eps": new_eps, "ratio": round(ratio, 3)}
         compared.append(cell)
         detail = (f"{label}: {base_eps:,.0f} -> {new_eps:,.0f} ev/s "
@@ -633,109 +564,6 @@ def attrib_delta(baseline: dict, current: dict, top: int = 3) -> dict:
         lines.append("note attribution identical: a tripped perf gate "
                      "is host/runner-side, not a workload change")
     return {"changed": changed, "lines": lines}
-
-
-def _best_eps(cell: dict) -> float:
-    """Noise-floor events/second of a cell (median as fallback)."""
-    return cell.get("events_per_second_best",
-                    cell["events_per_second"])
-
-
-def check_engine_floor(record: dict,
-                       floor: float = COMPILED_SPEEDUP_FLOOR) -> dict:
-    """Gate the compiled engine's speedup within one smoke record.
-
-    For every (workload, protocol, shape, scheduler) measured under
-    both engines, the compiled cell's best-of (noise floor)
-    ``events_per_second`` must be at least ``floor`` times the
-    reference cell's.  Both cells simulate a deterministic workload,
-    so the min across interleaved rounds is the right estimator — the
-    median carries the shared runner's 10-25% jitter and flakes on
-    true ratios near the floor.  Returns ``{"ok", "lines", "cells"}``
-    like :func:`compare_records`.  Records predating the engine axis
-    (no compiled cells) pass vacuously with a note.
-    """
-    by_key = {_cell_key(c): c for c in record["cells"]}
-    lines: List[str] = []
-    cells = []
-    ok = True
-    seen = 0
-    for key, compiled in by_key.items():
-        workload, protocol, tiles, engine, scheduler = key
-        if engine != "compiled":
-            continue
-        reference = by_key.get((workload, protocol, tiles, "reference",
-                                scheduler))
-        if reference is None:
-            continue
-        seen += 1
-        ref_eps = _best_eps(reference)
-        ratio = _best_eps(compiled) / ref_eps if ref_eps else 0.0
-        label = f"{workload} x {protocol} ({tiles}t, {scheduler})"
-        cells.append({"workload": workload, "protocol": protocol,
-                      "num_tiles": tiles, "scheduler": scheduler,
-                      "speedup": round(ratio, 3)})
-        detail = (f"{label}: compiled {ratio:.2f}x reference "
-                  f"(floor {floor:.2f}x)")
-        if ratio < floor:
-            lines.append(f"FAIL {detail}")
-            ok = False
-        else:
-            lines.append(f"ok   {detail}")
-    if not seen:
-        lines.append("note no compiled cells in the record; engine gate "
-                     "skipped")
-    return {"ok": ok, "lines": lines, "cells": cells}
-
-
-def check_scheduler_floor(record: dict,
-                          floor: float = WHEEL_SPEEDUP_FLOOR) -> dict:
-    """Gate the wheel scheduler against the heap within one record.
-
-    For every (workload, protocol, shape, engine) measured under both
-    schedulers, the wheel/heap ratio of best-of (noise floor)
-    ``events_per_second`` is computed; the gate passes when the
-    **geometric mean across all pairs** is at least ``floor`` — i.e.
-    the default scheduler must never be meaningfully slower than the
-    queue it replaced.  The aggregate (not per-cell) criterion is
-    deliberate: the true ratio sits within the per-cell noise band, so
-    only pooling the pairs makes a 2% threshold decidable without
-    flaking.  Per-cell ratios are still reported (``low`` marks cells
-    under the floor individually).  Records without a scheduler axis
-    pass vacuously with a note.
-    """
-    by_key = {_cell_key(c): c for c in record["cells"]}
-    lines: List[str] = []
-    cells = []
-    ratios: List[float] = []
-    for key, wheel in by_key.items():
-        workload, protocol, tiles, engine, scheduler = key
-        if scheduler != "wheel":
-            continue
-        heap = by_key.get((workload, protocol, tiles, engine, "heap"))
-        if heap is None:
-            continue
-        heap_eps = _best_eps(heap)
-        ratio = _best_eps(wheel) / heap_eps if heap_eps else 0.0
-        ratios.append(ratio)
-        label = f"{workload} x {protocol} ({tiles}t, {engine})"
-        cells.append({"workload": workload, "protocol": protocol,
-                      "num_tiles": tiles, "engine": engine,
-                      "speedup": round(ratio, 3)})
-        mark = "ok  " if ratio >= floor else "low "
-        lines.append(f"{mark} {label}: wheel {ratio:.2f}x heap")
-    if not ratios:
-        lines.append("note no scheduler-paired cells in the record; "
-                     "scheduler gate skipped")
-        return {"ok": True, "lines": lines, "cells": cells,
-                "aggregate": None}
-    aggregate = statistics.geometric_mean(ratios)
-    ok = aggregate >= floor
-    mark = "ok  " if ok else "FAIL"
-    lines.append(f"{mark} aggregate: wheel {aggregate:.3f}x heap over "
-                 f"{len(ratios)} paired cells (floor {floor:.2f}x)")
-    return {"ok": ok, "lines": lines, "cells": cells,
-            "aggregate": round(aggregate, 4)}
 
 
 def load_record(path: str) -> dict:

@@ -9,7 +9,7 @@ payloads are charged per word with unfilled tail-flit slack credited to
 response control.
 
 The helpers are closure-free: each takes ``handler, *args`` and hands
-them straight to :meth:`EventQueue.schedule_call`, which invokes
+them straight to :meth:`WheelEventQueue.schedule_call`, which invokes
 ``handler(*args, arrive_time)`` — the arrival time is always the last
 argument.  Callers pass bound methods plus their state instead of
 allocating a lambda per message, which keeps the per-event cost flat on
@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 from repro.common.config import ProtocolConfig, SystemConfig
 from repro.common.regions import RegionTable
 from repro.dram.model import LINES_PER_ROW, DramChannel
-from repro.engine.events import Barrier, EventQueue, make_event_queue
+from repro.engine.events import Barrier, WheelEventQueue
 from repro.network.mesh import Mesh
 from repro.network.traffic import TrafficLedger
 from repro.waste.profiler import CacheLevelProfiler, MemoryProfiler
@@ -100,15 +100,12 @@ class SimContext:
         self.config = config
         self.proto = proto
         self.regions = regions
-        self.queue = make_event_queue(config.scheduler)
+        self.queue = WheelEventQueue()
         self.mesh = Mesh(config)
-        # Accounting objects come from overridable factories so engine
-        # variants (repro.engine.compiled) can substitute array-backed
-        # implementations with identical observable behaviour.
-        self.ledger = self._make_ledger()
-        self.l1_prof = self._make_cache_profiler("L1")
-        self.l2_prof = self._make_cache_profiler("L2")
-        self.mem_prof = self._make_memory_profiler()
+        self.ledger = TrafficLedger(config.words_per_flit)
+        self.l1_prof = CacheLevelProfiler("L1")
+        self.l2_prof = CacheLevelProfiler("L2")
+        self.mem_prof = MemoryProfiler()
         # Memory-controller tiles: the paper's four corners by default,
         # generalized by the config for other shapes/controller counts.
         self.mc_tiles = config.mc_placement()
@@ -134,16 +131,6 @@ class SimContext:
         self._traverse = self.mesh.traverse
         self._schedule_call = self.queue.schedule_call
         self._bind_ledger()
-
-    # -- accounting factories (overridden by engine variants) -----------
-    def _make_ledger(self) -> TrafficLedger:
-        return TrafficLedger(self.config.words_per_flit)
-
-    def _make_cache_profiler(self, level: str) -> CacheLevelProfiler:
-        return CacheLevelProfiler(level)
-
-    def _make_memory_profiler(self) -> MemoryProfiler:
-        return MemoryProfiler()
 
     def _bind_ledger(self) -> None:
         ledger = self.ledger
@@ -250,11 +237,11 @@ class SimContext:
         later verdicts on them land in the discarded warm-up counters, as
         the paper's measurement methodology intends.
         """
-        self.ledger = self._make_ledger()
+        self.ledger = TrafficLedger(self.config.words_per_flit)
         self._bind_ledger()
-        self.l1_prof = self._make_cache_profiler("L1")
-        self.l2_prof = self._make_cache_profiler("L2")
-        self.mem_prof = self._make_memory_profiler()
+        self.l1_prof = CacheLevelProfiler("L1")
+        self.l2_prof = CacheLevelProfiler("L2")
+        self.mem_prof = MemoryProfiler()
         # Energy counters follow the same measurement window as the
         # ledger: NoC flit-hops must reconcile with the post-warm-up
         # traffic totals, and DRAM/MC energy events with the window's

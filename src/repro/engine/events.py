@@ -21,10 +21,13 @@ caller used.  Two interchangeable schedulers honour the contract:
 
 * :class:`EventQueue` — the classic binary heap.  Entries are
   ``(when, seq, fn, args)`` tuples; the contract is enforced by tuple
-  comparison.
+  comparison.  It is the reference the wheel is checked against
+  (``tests/test_events.py``) and a standalone queue for component
+  tests; simulations do not run on it.
 
-* :class:`WheelEventQueue` — a two-level bucketed calendar queue
-  (time wheel).  Near-future cycles (``when - now < _WHEEL_SIZE``) map
+* :class:`WheelEventQueue` — the scheduler every simulation runs on
+  (``SimContext`` builds one per machine): a two-level bucketed
+  calendar queue (time wheel).  Near-future cycles (``when - now < _WHEEL_SIZE``) map
   onto a power-of-two ring of flat per-cycle FIFO buckets: an append
   is O(1) and the bucket's list order *is* seq order, so no per-entry
   seq needs to be stored or compared.  A small min-heap of occupied
@@ -45,10 +48,8 @@ caller used.  Two interchangeable schedulers honour the contract:
   schedule-call stream appends chronologically).  Hence each bucket's
   FIFO order equals global ``(when, seq)`` order.
 
-``make_event_queue`` maps a scheduler name (``SystemConfig.scheduler``,
-``--scheduler``) to an implementation; the differential tests in
-``tests/test_events.py`` and the golden tiny-grid pin both to identical
-firing orders and bit-identical simulation results.
+The differential tests in ``tests/test_events.py`` pin the wheel to the
+heap's firing order on random and adversarial schedules.
 """
 
 from __future__ import annotations
@@ -67,19 +68,10 @@ _WHEEL_BITS = 12
 _WHEEL_SIZE = 1 << _WHEEL_BITS
 _WHEEL_MASK = _WHEEL_SIZE - 1
 
-#: Scheduler implementations selectable per run (``--scheduler``).
-SCHEDULERS = ("heap", "wheel")
-
-#: Default scheduler: the wheel, bit-identical to the heap (pinned by
-#: the golden grid under both) and measured at parity with it —
-#: scheduler operations are only ~1-2% of a cell's runtime.
-DEFAULT_SCHEDULER = "wheel"
-
-
 class EventQueue:
     """Deterministic discrete-event scheduler keyed by cycle time.
 
-    The reference binary-heap implementation (``scheduler="heap"``).
+    The reference binary-heap implementation.
     """
 
     __slots__ = ("_heap", "_seq", "now", "_events_run")
@@ -183,7 +175,7 @@ class EventQueue:
 
 
 class WheelEventQueue:
-    """Two-level bucketed calendar queue (``scheduler="wheel"``).
+    """Two-level bucketed calendar queue.
 
     Same API and observable behaviour as :class:`EventQueue` — firing
     order, ``now``/``events_run`` evolution, past-scheduling errors and
@@ -368,23 +360,6 @@ class WheelEventQueue:
                      help="events executed by the scheduler")
         hub.add_pull("engine_pending", lambda q=self: q.pending,
                      kind="gauge", help="events waiting in the queue")
-
-
-_SCHEDULER_CLASSES = {"heap": EventQueue, "wheel": WheelEventQueue}
-
-
-def make_event_queue(scheduler: str = DEFAULT_SCHEDULER):
-    """Instantiate the scheduler named by ``scheduler``.
-
-    The name is validated by ``SystemConfig`` before any simulation is
-    built, so an unknown name here is an internal error.
-    """
-    try:
-        return _SCHEDULER_CLASSES[scheduler]()
-    except KeyError:
-        known = ", ".join(SCHEDULERS)
-        raise ValueError(f"unknown scheduler {scheduler!r}; "
-                         f"known schedulers: {known}") from None
 
 
 class Barrier:

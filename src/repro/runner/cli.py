@@ -37,17 +37,13 @@ same gate as ``tools/bench_compare.py``.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.common.config import (
-    ENERGY_MODELS, ENGINES, SCHEDULERS, ScaleConfig,
-    registered_energy_models, scaled_system)
-from repro.engine.events import DEFAULT_SCHEDULER
+    ENERGY_MODELS, ScaleConfig, registered_energy_models, scaled_system)
 from repro.common.registry import (
     paper_ladder, protocol as protocol_by_name, registered_protocols)
 from repro.runner.jobs import DEFAULT_SEED, expand_grid
@@ -123,35 +119,17 @@ def _grid_progress(ns: argparse.Namespace, store: ResultStore, out):
     return telemetry.printer(out), finish
 
 
-def _with_engine(config, ns: argparse.Namespace):
-    """``config`` with the ``--engine``/``--scheduler`` selections
-    applied (both axes are bit-identical result-wise, so they share the
-    threading path)."""
-    engine = getattr(ns, "engine", None) or "reference"
-    scheduler = getattr(ns, "scheduler", None) or config.scheduler
-    changes = {}
-    if config.engine != engine:
-        changes["engine"] = engine
-    if config.scheduler != scheduler:
-        changes["scheduler"] = scheduler
-    return replace(config, **changes) if changes else config
-
-
 def _single_shape_config(ns: argparse.Namespace, scale: ScaleConfig):
     """System config for one-shape commands (figures/report)."""
     tiles = _parse_tiles(ns)
     if tiles is None:
-        engine = getattr(ns, "engine", None) or "reference"
-        scheduler = getattr(ns, "scheduler", None)
-        if engine == "reference" and scheduler in (None, DEFAULT_SCHEDULER):
-            return None
-        return _with_engine(scaled_system(scale), ns)
+        return None
     if len(tiles) != 1:
         raise ValueError(
             f"{ns.command} renders one machine shape at a time; pass a "
             f"single --tiles value (use `sweep`/`scaling` for a shape "
             f"axis)")
-    return _with_engine(scaled_system(scale, num_tiles=tiles[0]), ns)
+    return scaled_system(scale, num_tiles=tiles[0])
 
 
 def _grid(ns: argparse.Namespace, store: ResultStore, progress=None):
@@ -175,8 +153,8 @@ def cmd_sweep(ns: argparse.Namespace, out=None) -> int:
     tiles = _parse_tiles(ns)
     scale = SCALES[ns.scale]()
     specs = expand_grid(workloads, protocols, scale,
-                        config=_with_engine(scaled_system(scale), ns),
-                        seed=ns.seed, tiles=tiles)
+                        config=scaled_system(scale), seed=ns.seed,
+                        tiles=tiles)
     shapes = (f" x {len(tiles)} shapes ({','.join(map(str, tiles))} tiles)"
               if tiles else "")
     print(f"sweep: {len(workloads)} workloads x {len(protocols)} protocols"
@@ -205,8 +183,7 @@ def cmd_scaling(ns: argparse.Namespace, out=None) -> int:
     scale = SCALES[ns.scale]()
     shapes = sweep_shapes(
         tiles, workloads=workloads, protocols=ns.protocols,
-        scale=scale, config=_with_engine(scaled_system(scale), ns),
-        seed=ns.seed,
+        scale=scale, config=scaled_system(scale), seed=ns.seed,
         jobs=_resolve_jobs(ns.jobs), store=store,
         use_cache=not ns.fresh, progress=progress)
     finish()
@@ -296,7 +273,6 @@ def cmd_trace(ns: argparse.Namespace, out=None) -> int:
     tiles = _parse_tiles(ns)
     config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
               else scaled_system(scale))
-    config = _with_engine(config, ns)
     workload = build_workload(ns.workload, scale,
                               num_cores=config.num_tiles, seed=ns.seed)
     protocol = _canonical_protocol(ns.protocol)
@@ -338,7 +314,6 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
     tiles = _parse_tiles(ns)
     config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
               else scaled_system(scale))
-    config = _with_engine(config, ns)
     protocols = [_canonical_protocol(p)
                  for p in (ns.protocols or paper_ladder())]
     start = time.perf_counter()
@@ -350,15 +325,12 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
     else:
         print(figure_stalls(profiles, config.num_tiles).render(), file=out)
     print(f"stalls: {len(profiles)} rung(s) of {ns.workload} @ "
-          f"{config.num_tiles}t ({config.engine}/{config.scheduler}) "
-          f"in {elapsed:.2f}s", file=out, flush=True)
+          f"{config.num_tiles}t in {elapsed:.2f}s", file=out, flush=True)
     if ns.json:
         import json
         payload = {"workload": profiles[0]["workload"] if profiles
                    else ns.workload,
                    "num_tiles": config.num_tiles,
-                   "engine": config.engine,
-                   "scheduler": config.scheduler,
                    "seed": ns.seed,
                    "profiles": profiles}
         with open(ns.json, "w") as fh:
@@ -384,17 +356,12 @@ def cmd_list(ns: argparse.Namespace, out=None) -> int:
         tag = "paper" if name in paper_workloads else "extra"
         print(f"  {name:<14s} {tag}", file=out)
     print("protocols:", file=out)
-    from repro.engine.compiled import compile_status
     ladder = set(paper_ladder())
     for name in registered_protocols():
         proto = protocol_by_name(name)
         tag = "paper-ladder" if name in ladder else "extra"
         flags = ", ".join(proto.enabled_flags()) or "-"
-        status = compile_status(proto)
-        engine_tag = "compiled" if status["compiled"] else "reference-only"
-        print(f"  {name:<12s} {proto.kind:<7s} {tag:<13s} "
-              f"{engine_tag:<14s} {flags}", file=out)
-        print(f"  {'':<12s} {'':<7s} {'':<13s} -> {status['detail']}",
+        print(f"  {name:<12s} {proto.kind:<7s} {tag:<13s} {flags}",
               file=out)
     return 0
 
@@ -403,9 +370,8 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
     """Run the perf-smoke suite; optionally gate against a baseline."""
     out = out if out is not None else sys.stdout
     from repro.bench import (
-        DirtyBaseline, RecordMismatch, check_engine_floor,
-        check_scheduler_floor, compare_records, load_record, run_smoke,
-        write_record)
+        DirtyBaseline, RecordMismatch, compare_records, load_record,
+        run_smoke, write_record)
     record = run_smoke()
     try:
         write_record(record, ns.out)
@@ -414,9 +380,7 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
         return 2
     for cell in record["cells"]:
         print(f"{cell['workload']:<10s} {cell['protocol']:<8s} "
-              f"{cell['num_tiles']:3d}t  {cell['engine']:<10s} "
-              f"{cell.get('scheduler', 'heap'):<6s} "
-              f"{cell['seconds']:8.3f}s  "
+              f"{cell['num_tiles']:3d}t  {cell['seconds']:8.3f}s  "
               f"{cell['events_per_second']:12,.0f} ev/s", file=out)
     memo = record["trace_memo"]
     print(f"trace memo: cold {memo['cold_cell_seconds']:.3f}s vs warm "
@@ -431,20 +395,6 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
           f"{pool['cold_cells_per_second']:.2f} -> warm "
           f"{pool['warm_cells_per_second']:.2f} cells/s", file=out)
     print(f"wrote {ns.out} ({record['git_describe']})", file=out)
-    engine_gate = check_engine_floor(record)
-    for line in engine_gate["lines"]:
-        print(line, file=out)
-    if not engine_gate["ok"]:
-        print("bench: compiled engine fell below its speedup floor "
-              "vs the reference engine", file=sys.stderr)
-        return 1
-    scheduler_gate = check_scheduler_floor(record)
-    for line in scheduler_gate["lines"]:
-        print(line, file=out)
-    if not scheduler_gate["ok"]:
-        print("bench: wheel scheduler fell below its speedup floor "
-              "vs the heap scheduler", file=sys.stderr)
-        return 1
     if not ns.compare:
         return 0
     try:
@@ -504,17 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
              "space-separated square numbers, e.g. `--tiles 4,16,64` "
              "(default: the paper's 16-tile 4x4 mesh; sweep/scaling "
              "accept several shapes, figures/report exactly one)")
-    grid_flags.add_argument(
-        "--engine", default="reference", metavar="E",
-        help=f"execution engine (default: reference; known: "
-             f"{', '.join(ENGINES)}); results are bit-identical, "
-             f"`compiled` runs the table-compiled fast engine")
-    grid_flags.add_argument(
-        "--scheduler", metavar="S",
-        help=f"event scheduler (default: {DEFAULT_SCHEDULER}; known: "
-             f"{', '.join(SCHEDULERS)}); results are bit-identical, "
-             f"`heap` is the reference binary-heap queue, `wheel` the "
-             f"bucketed event wheel")
     grid_flags.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="parallel worker processes; 0 = one per CPU (default: 1)")
@@ -600,12 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiles", nargs="+", metavar="N",
                    help="machine shape (one square tile count; "
                         "default: the paper's 16)")
-    p.add_argument("--engine", default="reference", metavar="E",
-                   help=f"execution engine (default: reference; known: "
-                        f"{', '.join(ENGINES)})")
-    p.add_argument("--scheduler", metavar="S",
-                   help=f"event scheduler (default: {DEFAULT_SCHEDULER}; "
-                        f"known: {', '.join(SCHEDULERS)})")
     p.add_argument("--sample-interval", type=int, default=5000,
                    metavar="CYCLES",
                    help="metric-sampling period in simulated cycles "
@@ -640,12 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiles", nargs="+", metavar="N",
                    help="machine shape (one square tile count; "
                         "default: the paper's 16)")
-    p.add_argument("--engine", default="reference", metavar="E",
-                   help=f"execution engine (default: reference; known: "
-                        f"{', '.join(ENGINES)})")
-    p.add_argument("--scheduler", metavar="S",
-                   help=f"event scheduler (default: {DEFAULT_SCHEDULER}; "
-                        f"known: {', '.join(SCHEDULERS)})")
     p.add_argument("--json", metavar="FILE",
                    help="also write the attribution profiles (segments, "
                         "stall causes, conservation audits) as JSON")
@@ -684,23 +611,6 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
             protocol_by_name(name)
         except KeyError as exc:
             return str(exc.args[0])
-    # Engines: near-miss suggestions, like protocols and presets.
-    engine = getattr(ns, "engine", None)
-    if engine and engine not in ENGINES:
-        close = difflib.get_close_matches(engine, ENGINES, n=1,
-                                          cutoff=0.4)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        return (f"unknown engine {engine!r}; known engines: "
-                f"{', '.join(ENGINES)}{hint}")
-    # Schedulers: same treatment (the config would reject these too,
-    # but only after argument parsing has scattered into a sweep).
-    scheduler = getattr(ns, "scheduler", None)
-    if scheduler and scheduler not in SCHEDULERS:
-        close = difflib.get_close_matches(scheduler, SCHEDULERS, n=1,
-                                          cutoff=0.4)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        return (f"unknown scheduler {scheduler!r}; known schedulers: "
-                f"{', '.join(SCHEDULERS)}{hint}")
     # Energy presets resolve the same way.
     if getattr(ns, "preset", None):
         try:

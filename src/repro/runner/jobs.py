@@ -39,14 +39,12 @@ from repro.workloads import WORKLOAD_ORDER, canonical_workload
 DEFAULT_SEED = 12345
 
 #: Bump when workload generators, protocol semantics or the config hash
-#: payload change, so stale cached results are never reused.  v7: the
-#: execution engine became a first-class ``SystemConfig`` axis
-#: (``engine``), which enters the config hash payload.  v8: the event
-#: scheduler joined the config (``scheduler``) — results are
-#: bit-identical across schedulers by contract, but the hash payload
-#: changed shape, so v7 keys are retired; old cache files are simply
-#: re-simulated on first use.
-GRID_VERSION = 8
+#: payload change, so stale cached results are never reused; old cache
+#: files are simply re-simulated on first use.  v7 added the execution
+#: engine to the config hash payload and v8 the event scheduler.  v9:
+#: both axes are gone (one engine on one scheduler), so the payload
+#: lost those two fields and v8 keys are retired.
+GRID_VERSION = 9
 
 
 def config_key(scale: ScaleConfig, config: SystemConfig) -> str:

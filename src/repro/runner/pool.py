@@ -9,9 +9,8 @@ memoize them per process.
 
 Warm workers: the pool is a module-level singleton that survives across
 :func:`run_jobs`/:func:`sweep` calls instead of being torn down per
-call, so worker-side state — the workload-trace memo, the compiled
-protocol tables, every imported module — stays warm from one sweep to
-the next.  On platforms with the ``fork`` start method the parent
+call, so worker-side state — the workload-trace memo and every
+imported module — stays warm from one sweep to the next.  On platforms with the ``fork`` start method the parent
 additionally pre-builds the sweep's traces *before* forking, so every
 worker starts with the traces already shared copy-on-write rather than
 re-building them per process.  :func:`shutdown_pool` releases the
@@ -150,7 +149,6 @@ def _worker_init() -> None:
     # Under the fork start method everything is inherited and this is a
     # no-op; under spawn it front-loads the heavy imports.
     import repro.core.simulator  # noqa: F401
-    import repro.engine.compiled  # noqa: F401
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,8 @@ Properties the sweep runner relies on:
 * **Corrupt-file tolerance** — any unreadable, truncated or
   wrong-schema file loads as ``None``; callers fall back to
   re-simulation and the next save repairs the file.
-* **Versioned schema** — files carry a ``schema_version``; the legacy
-  bare-payload format written by the former ``analysis.persist`` module
-  (schema 0) is still readable so existing caches keep working.
+* **Versioned schema** — files carry a ``schema_version``; a file
+  without one, or with another, loads as ``None`` and is re-simulated.
 * **Relocatable** — the directory defaults to ``.repro_cache/`` under
   the current directory and is overridden by ``$REPRO_CACHE_DIR``.
 """
@@ -32,7 +31,7 @@ from typing import Iterator, Optional
 from repro.core.stats import RunResult
 from repro.waste.profiler import Category
 
-#: Current on-disk schema.  0 = legacy bare result dict (read-only).
+#: Current on-disk schema: ``{"schema_version", "result"}`` envelopes.
 SCHEMA_VERSION = 1
 
 #: Registered sidecar filenames: non-result files that live next to the
@@ -160,14 +159,10 @@ class ResultStore:
             raw = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
-        if not isinstance(raw, dict):
+        if (not isinstance(raw, dict)
+                or raw.get("schema_version") != SCHEMA_VERSION):
             return None
-        if "schema_version" in raw:
-            if raw.get("schema_version") != SCHEMA_VERSION:
-                return None
-            payload = raw.get("result")
-        else:
-            payload = raw          # legacy analysis.persist format
+        payload = raw.get("result")
         if not isinstance(payload, dict):
             return None
         try:

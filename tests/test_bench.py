@@ -5,23 +5,15 @@ import json
 import pytest
 
 from repro.bench import (
-    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, SCHEMA_VERSION,
-    WHEEL_SPEEDUP_FLOOR, DirtyBaseline, RecordMismatch, check_engine_floor,
-    check_scheduler_floor, compare_records, write_record)
+    REGRESSION_THRESHOLD, SCHEMA_VERSION, DirtyBaseline, RecordMismatch,
+    compare_records, write_record)
 
 
 def _cell(key, eps):
-    # Cell keys are (workload, protocol, tiles) — legacy pre-engine
-    # shape — (workload, protocol, tiles, engine), or the full
-    # (workload, protocol, tiles, engine, scheduler).
-    cell = {"workload": key[0], "protocol": key[1], "num_tiles": key[2],
+    # Cell keys are (workload, protocol, tiles).
+    return {"workload": key[0], "protocol": key[1], "num_tiles": key[2],
             "seconds": 1.0, "events": int(eps),
             "events_per_second": eps, "exec_cycles": 1}
-    if len(key) >= 4:
-        cell["engine"] = key[3]
-    if len(key) == 5:
-        cell["scheduler"] = key[4]
-    return cell
 
 
 def _record(eps_by_cell, schema_version=SCHEMA_VERSION,
@@ -100,155 +92,6 @@ class TestCompareRecords:
         lax = compare_records(_record(CELLS), _record(slower),
                               threshold=0.2)
         assert lax["ok"]
-
-    def test_engine_keyed_cells_compare_independently(self):
-        # A regression in the compiled cell must not hide behind a
-        # healthy reference cell for the same (workload, proto, shape).
-        base = {("radix", "MESI", 16, "reference"): 50_000.0,
-                ("radix", "MESI", 16, "compiled"): 65_000.0}
-        current = dict(base)
-        current[("radix", "MESI", 16, "compiled")] = 30_000.0
-        outcome = compare_records(_record(base), _record(current))
-        assert not outcome["ok"]
-        failed = [l for l in outcome["lines"] if l.startswith("FAIL")]
-        assert len(failed) == 1
-        assert "compiled" in failed[0]
-
-    def test_legacy_cells_default_to_reference_engine(self):
-        # Pre-engine records (no "engine" key) keep comparing against
-        # engine-stamped reference cells.
-        stamped = {("radix", "MESI", 16, "reference"): 50_000.0}
-        legacy = {("radix", "MESI", 16): 50_000.0}
-        outcome = compare_records(_record(legacy), _record(stamped))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 1
-
-    def test_scheduler_keyed_cells_compare_independently(self):
-        # A regression in the wheel cell must not hide behind a healthy
-        # heap cell for the same (workload, proto, shape, engine).
-        base = {("radix", "MESI", 16, "reference", "heap"): 50_000.0,
-                ("radix", "MESI", 16, "reference", "wheel"): 51_000.0}
-        current = dict(base)
-        current[("radix", "MESI", 16, "reference", "wheel")] = 30_000.0
-        outcome = compare_records(_record(base), _record(current))
-        assert not outcome["ok"]
-        failed = [l for l in outcome["lines"] if l.startswith("FAIL")]
-        assert len(failed) == 1
-        assert "wheel" in failed[0]
-
-    def test_legacy_cells_default_to_heap_scheduler(self):
-        stamped = {("radix", "MESI", 16, "reference", "heap"): 50_000.0}
-        legacy = {("radix", "MESI", 16, "reference"): 50_000.0}
-        outcome = compare_records(_record(legacy), _record(stamped))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 1
-
-
-ENGINE_CELLS = {("radix", "MESI", 16, "reference"): 50_000.0,
-                ("radix", "MESI", 16, "compiled"): 65_000.0,
-                ("radix", "DeNovo", 16, "reference"): 30_000.0,
-                ("radix", "DeNovo", 16, "compiled"): 37_000.0}
-
-
-class TestEngineFloor:
-    def test_compiled_above_floor_passes(self):
-        outcome = check_engine_floor(_record(ENGINE_CELLS))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 2
-        assert all(c["speedup"] > COMPILED_SPEEDUP_FLOOR
-                   for c in outcome["cells"])
-
-    def test_compiled_below_floor_fails(self):
-        slow = dict(ENGINE_CELLS)
-        slow[("radix", "MESI", 16, "compiled")] = 45_000.0
-        outcome = check_engine_floor(_record(slow))
-        assert not outcome["ok"]
-        assert any(l.startswith("FAIL") and "MESI" in l
-                   for l in outcome["lines"])
-
-    def test_custom_floor(self):
-        outcome = check_engine_floor(_record(ENGINE_CELLS), floor=1.5)
-        assert not outcome["ok"]
-
-    def test_no_compiled_cells_is_vacuous_pass(self):
-        outcome = check_engine_floor(_record(CELLS))
-        assert outcome["ok"]
-        assert not outcome["cells"]
-        assert any(l.startswith("note") for l in outcome["lines"])
-
-    def test_compiled_cell_without_reference_is_skipped(self):
-        orphan = {("radix", "MESI", 16, "compiled"): 65_000.0}
-        outcome = check_engine_floor(_record(orphan))
-        assert outcome["ok"]
-        assert not outcome["cells"]
-
-    def test_pairs_within_one_scheduler_only(self):
-        # A compiled/wheel cell must gate against reference/wheel, not
-        # reference/heap.
-        cells = {("radix", "MESI", 16, "reference", "heap"): 80_000.0,
-                 ("radix", "MESI", 16, "reference", "wheel"): 50_000.0,
-                 ("radix", "MESI", 16, "compiled", "wheel"): 65_000.0}
-        outcome = check_engine_floor(_record(cells))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 1
-        assert outcome["cells"][0]["speedup"] == 1.3
-
-
-SCHEDULER_CELLS = {
-    ("radix", "MESI", 16, "reference", "heap"): 50_000.0,
-    ("radix", "MESI", 16, "reference", "wheel"): 50_500.0,
-    ("radix", "MESI", 16, "compiled", "heap"): 65_000.0,
-    ("radix", "MESI", 16, "compiled", "wheel"): 66_300.0,
-}
-
-
-class TestSchedulerFloor:
-    def test_wheel_at_parity_passes(self):
-        outcome = check_scheduler_floor(_record(SCHEDULER_CELLS))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 2
-        assert all(c["speedup"] >= WHEEL_SPEEDUP_FLOOR
-                   for c in outcome["cells"])
-
-    def test_wheel_below_floor_fails_on_aggregate(self):
-        slow = dict(SCHEDULER_CELLS)
-        slow[("radix", "MESI", 16, "compiled", "wheel")] = 48_000.0
-        outcome = check_scheduler_floor(_record(slow))
-        assert not outcome["ok"]
-        assert outcome["aggregate"] < WHEEL_SPEEDUP_FLOOR
-        # The offending cell is marked individually, the verdict is
-        # the pooled aggregate line.
-        assert any(l.startswith("low") and "compiled" in l
-                   for l in outcome["lines"])
-        assert any(l.startswith("FAIL") and "aggregate" in l
-                   for l in outcome["lines"])
-
-    def test_single_noisy_cell_does_not_flip_a_healthy_aggregate(self):
-        # One cell dips just under the floor while the rest sit above:
-        # the pooled ratio stays >= floor, so the gate holds (per-cell
-        # gating at this threshold would flake on exactly this shape).
-        noisy = dict(SCHEDULER_CELLS)
-        noisy[("radix", "MESI", 16, "reference", "wheel")] = 46_000.0
-        outcome = check_scheduler_floor(_record(noisy))
-        assert outcome["ok"]
-        assert any(l.startswith("low") for l in outcome["lines"])
-
-    def test_custom_floor(self):
-        outcome = check_scheduler_floor(_record(SCHEDULER_CELLS),
-                                        floor=1.5)
-        assert not outcome["ok"]
-
-    def test_no_scheduler_pairs_is_vacuous_pass(self):
-        outcome = check_scheduler_floor(_record(ENGINE_CELLS))
-        assert outcome["ok"]
-        assert not outcome["cells"]
-        assert any(l.startswith("note") for l in outcome["lines"])
-
-    def test_wheel_cell_without_heap_is_skipped(self):
-        orphan = {("radix", "MESI", 16, "reference", "wheel"): 50_000.0}
-        outcome = check_scheduler_floor(_record(orphan))
-        assert outcome["ok"]
-        assert not outcome["cells"]
 
 
 class TestWriteRecord:

@@ -31,6 +31,13 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(num_tiles=15)
 
+    @pytest.mark.parametrize("field", ("engine", "scheduler"))
+    def test_engine_and_scheduler_are_not_fields(self, field):
+        # One engine on one scheduler: neither is configurable, so
+        # neither enters the config hash.
+        with pytest.raises(TypeError):
+            SystemConfig(**{field: "reference"})
+
     def test_corner_tiles_4x4(self):
         assert corner_tiles(4) == (0, 3, 12, 15)
 

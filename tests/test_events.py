@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.engine.events import (
-    _WHEEL_SIZE, DEFAULT_SCHEDULER, SCHEDULERS, Barrier, EventQueue,
-    WheelEventQueue, make_event_queue)
+    _WHEEL_SIZE, Barrier, EventQueue, WheelEventQueue)
 
 
 class TestEventQueue:
@@ -164,18 +163,6 @@ class TestScheduleCall:
         q.run()   # max_events=None: the unbounded path
         assert len(hits) == 100
         assert q.events_run == 100
-
-
-class TestSchedulerFactory:
-    def test_known_schedulers(self):
-        assert isinstance(make_event_queue("heap"), EventQueue)
-        assert isinstance(make_event_queue("wheel"), WheelEventQueue)
-        assert set(SCHEDULERS) == {"heap", "wheel"}
-        assert DEFAULT_SCHEDULER in SCHEDULERS
-
-    def test_unknown_scheduler_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            make_event_queue("fifo")
 
 
 def _run_script(q, seed, initial=40, max_rearms=400):

@@ -68,29 +68,6 @@ def test_grid_cells_bit_identical_to_golden(workload_name):
             f"tools/gen_golden_grid.py")
 
 
-@pytest.mark.parametrize("engine", ("reference", "compiled"))
-def test_heap_scheduler_reproduces_golden_slice(engine):
-    """The heap scheduler must still reproduce the golden cells.
-
-    The golden grid (and the compiled-engine parity suite) run under
-    the default wheel scheduler; this slice re-simulates one workload's
-    full protocol ladder under ``scheduler="heap"`` with both engines,
-    pinning the schedulers to each other through the snapshot.  The
-    randomized differential in ``test_events.py`` covers the adversarial
-    corner cases cheaply; full-grid heap coverage would only re-pay the
-    54-cell cost for the same invariant.
-    """
-    import dataclasses
-    workload_name = "fluidanimate"   # DRAM-heavy: exercises the fused
-    workload = build_workload(workload_name, SCALE)     # wakeup path
-    config = dataclasses.replace(CONFIG, scheduler="heap", engine=engine)
-    for proto in PROTOCOL_ORDER:
-        result = result_to_dict(simulate(workload, proto, config))
-        assert result == GOLDEN[workload_name][proto], (
-            f"{workload_name} x {proto} diverged from the golden result "
-            f"under scheduler='heap', engine={engine!r}")
-
-
 @pytest.mark.parametrize("workload_name", WORKLOAD_ORDER)
 def test_grid_cell_event_counts_pinned(workload_name):
     """The engine must schedule the identical event stream per cell."""

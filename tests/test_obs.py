@@ -221,34 +221,32 @@ class TestPhaseSampler:
         assert len(sampler.samples) == 1
         assert sampler.ticks == 0        # no scheduler events consumed
 
-    def test_overflow_interval_identical_heap_vs_wheel(self):
+    def test_overflow_interval_rearms_on_grid_bit_identical(self):
         """Sampler re-arms beyond the wheel's 4096-cycle window.
 
         With ``sample_interval > 4096`` every re-arm lands in the
-        wheel's overflow heap instead of a bucket; the observed run
-        must stay bit-identical to the heap scheduler's, with the
-        identical sampled counter tracks (same cycles, same values).
+        wheel's overflow heap instead of a bucket.  The observed run
+        must stay bit-identical to an unobserved one, and every tick
+        must fire exactly on the ``interval`` grid (cycle ``k *
+        interval``), so no overflow promotion shifted a re-arm.
         """
         from repro.engine.events import _WHEEL_SIZE
         interval = _WHEEL_SIZE + 1000    # every re-arm overflows
         scale = ScaleConfig.tiny()
-        cells = {}
-        for scheduler in ("heap", "wheel"):
-            config = dataclasses.replace(scaled_system(scale),
-                                         scheduler=scheduler)
-            obs = ObsSession(sample_interval=interval, trace=False)
-            result = simulate(build_workload("radix", scale), "MESI",
-                              config, obs=obs)
-            cells[scheduler] = (result, obs)
-        heap_result, heap_obs = cells["heap"]
-        wheel_result, wheel_obs = cells["wheel"]
-        assert (dataclasses.asdict(wheel_result)
-                == dataclasses.asdict(heap_result))
-        assert wheel_obs.overhead_events == heap_obs.overhead_events > 0
-        assert wheel_obs.samples == heap_obs.samples
-        for name in ("engine_events", "noc_flit_hops"):
-            assert (wheel_obs.sampler.series(name)
-                    == heap_obs.sampler.series(name)), name
+        config = scaled_system(scale)
+        workload = build_workload("radix", scale)
+        plain = simulate(workload, "MESI", config)
+        obs = ObsSession(sample_interval=interval, trace=False)
+        observed = simulate(workload, "MESI", config, obs=obs)
+        assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
+        ticks = obs.overhead_events
+        assert ticks >= 3                # several overflowed re-arms
+        cycles = [sample["cycle"] for sample in obs.samples]
+        assert cycles[:ticks] == [interval * k
+                                  for k in range(1, ticks + 1)]
+        # At most one more sample: the end-of-run one, after the grid.
+        assert len(cycles) - ticks <= 1
+        assert cycles[-1] >= cycles[ticks - 1]
 
 
 # ----------------------------------------------------------------------

@@ -57,17 +57,17 @@ class TestJobSpec:
 
     def test_store_key_is_pinned(self):
         """Cache keys must never change *silently*.  Pinned literals:
-        the GRID_VERSION-8 keys (the event-scheduler axis landed:
-        ``SystemConfig.scheduler`` entered the config hash payload,
-        deliberately retiring the v7 keys, which predate the field).
+        the GRID_VERSION-9 keys (the ``engine`` and ``scheduler``
+        fields left ``SystemConfig`` and so the config hash payload,
+        deliberately retiring the v8 keys, which carry both).
         If this fails, the hash payload or serialization changed and
         every stored result silently became unreachable; bump
         GRID_VERSION deliberately and re-pin instead."""
         from repro.common.config import DEFAULT_SCALE, scaled_system
         assert config_key(
             DEFAULT_SCALE,
-            scaled_system(DEFAULT_SCALE)) == "d3e5d4b8ec90250d"
-        assert spec().store_key() == "cf3759003e50eaa9-t16"
+            scaled_system(DEFAULT_SCALE)) == "dda3923892c4d42f"
+        assert spec().store_key() == "ad93c3029df559ad-t16"
 
     def test_store_key_includes_non_default_seed(self):
         assert spec(seed=7).store_key() != spec().store_key()
@@ -146,14 +146,21 @@ class TestResultStore:
         path.write_text(json.dumps(envelope))
         assert store.load("radix", "MESI", "k") is None
 
-    def test_legacy_bare_payload_still_loads(self, store, radix_result):
-        """Files written by the pre-runner analysis.persist module."""
-        path = store.path_for("radix", "MESI", "k")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result_to_dict(radix_result)))
-        loaded = store.load("radix", "MESI", "k")
-        assert loaded is not None
-        assert loaded.traffic == radix_result.traffic
+    def test_bare_payload_is_none_and_resimulated(self, store):
+        """A result dict without the schema envelope is not a cell: it
+        loads as ``None``, the sweep re-simulates it, and the save
+        rewrites the file in the current schema."""
+        job = spec(workload="stream")
+        (first,) = sweep([job], jobs=1, store=store)
+        path = store.path_for(job.workload, job.protocol, job.store_key())
+        path.write_text(json.dumps(result_to_dict(first.result)))
+        assert store.load(job.workload, job.protocol,
+                          job.store_key()) is None
+        (redone,) = sweep([job], jobs=1, store=store)
+        assert not redone.from_cache
+        assert (result_to_dict(redone.result)
+                == result_to_dict(first.result))
+        assert "schema_version" in json.loads(path.read_text())
 
     def test_register_sidecar_validates(self):
         assert register_sidecar("telemetry.json") == "telemetry.json"
@@ -484,6 +491,18 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--jobs" in err and "-3" in err
+        assert len(ResultStore(tmp_path)) == 0
+
+    @pytest.mark.parametrize("axis, value", (("engine", "compiled"),
+                                             ("scheduler", "heap")))
+    def test_engine_and_scheduler_flags_are_gone(self, tmp_path, axis,
+                                                 value):
+        # One engine on one scheduler: argparse rejects either flag.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--scale", "tiny", "--workloads", "stream",
+                      "--protocols", "MESI", "--cache-dir", str(tmp_path),
+                      f"--{axis}", value])
+        assert exc.value.code == 2
         assert len(ResultStore(tmp_path)) == 0
 
     def test_module_entry_point(self, tmp_path):

@@ -28,9 +28,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import (
-    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, WHEEL_SPEEDUP_FLOOR,
-    RecordMismatch, attrib_delta, check_engine_floor,
-    check_scheduler_floor, compare_records, load_record)
+    REGRESSION_THRESHOLD, RecordMismatch, attrib_delta, compare_records,
+    load_record)
 
 
 def _sweep_cps(record: dict) -> dict:
@@ -62,14 +61,6 @@ def main(argv=None) -> int:
                         default=REGRESSION_THRESHOLD,
                         help="hard-fail events/second regression fraction "
                              f"(default: {REGRESSION_THRESHOLD})")
-    parser.add_argument("--engine-floor", type=float,
-                        default=COMPILED_SPEEDUP_FLOOR,
-                        help="minimum compiled/reference speedup per cell "
-                             f"(default: {COMPILED_SPEEDUP_FLOOR})")
-    parser.add_argument("--scheduler-floor", type=float,
-                        default=WHEEL_SPEEDUP_FLOOR,
-                        help="minimum wheel/heap speedup per cell "
-                             f"(default: {WHEEL_SPEEDUP_FLOOR})")
     parser.add_argument("--attrib-delta", action="store_true",
                         help="when a gate fails, diff the records' "
                              "attribution profiles and print the top "
@@ -87,33 +78,13 @@ def main(argv=None) -> int:
         return 2
     for line in outcome["lines"]:
         print(line)
-    # Engine gate: the compiled engine must stay faster than the
-    # reference in the *current* record, independent of the baseline.
-    engine_gate = check_engine_floor(current, floor=ns.engine_floor)
-    for line in engine_gate["lines"]:
-        print(line)
-    # Scheduler gate: the default wheel scheduler must never fall
-    # meaningfully behind the heap it replaced.
-    scheduler_gate = check_scheduler_floor(current,
-                                           floor=ns.scheduler_floor)
-    for line in scheduler_gate["lines"]:
-        print(line)
     # Sweep section: serial and warm-pool throughput deltas (no gate).
     for line in sweep_section(baseline, current):
         print(line)
-    failed = False
-    if not outcome["ok"]:
+    failed = not outcome["ok"]
+    if failed:
         print(f"bench_compare: events_per_second regressed by more than "
               f"{ns.threshold:.0%}", file=sys.stderr)
-        failed = True
-    if not engine_gate["ok"]:
-        print(f"bench_compare: compiled engine fell below "
-              f"{ns.engine_floor:.2f}x the reference", file=sys.stderr)
-        failed = True
-    if not scheduler_gate["ok"]:
-        print(f"bench_compare: wheel scheduler fell below "
-              f"{ns.scheduler_floor:.2f}x the heap", file=sys.stderr)
-        failed = True
     if ns.attrib_delta and failed:
         # Attribute the failure: did the simulated work move, or is
         # the host to blame?  (Profiles are deterministic per commit.)
