@@ -9,11 +9,10 @@ bench`` and ``tools/bench_compare.py``:
   whole cell list, ``repeats`` rounds) and each cell records its
   **median** — run-to-run drift on a shared runner hits every cell
   alike instead of landing on whichever ran in a slow window.  The
-  record carries
-  ``schema_version`` and a ``git_describe`` stamp so records from
-  incompatible layouts or unknown commits are never silently compared;
-  :func:`write_record` refuses to stamp the committed baseline from a
-  ``-dirty`` tree.
+  record carries ``schema_version`` and a ``git_describe`` stamp so
+  records from incompatible layouts or unknown commits are never
+  silently compared; :func:`write_record` refuses to stamp the
+  committed baseline from a ``-dirty`` tree.
 * :func:`compare_records` diffs two records cell-by-cell on
   ``events_per_second`` and classifies the outcome: any cell regressing
   by more than the threshold (default 15%) fails the gate; smaller
